@@ -672,12 +672,6 @@ let connect_timeout_arg =
                  that accepted no connection for $(docv) ms instead of \
                  redialing until the run timeout (default: unbounded).")
 
-let drain_quiet_arg =
-  Arg.(value & opt (some int) None
-       & info [ "drain-quiet-ms" ] ~docv:"MS"
-           ~doc:"Quiet window after $(b,finish): a node closes once no \
-                 frame has arrived for $(docv) ms (default 300).")
-
 let deadline_arg =
   Arg.(value & opt (some int) None
        & info [ "deadline-ms" ] ~docv:"MS"
@@ -1088,13 +1082,12 @@ let placement_cmd =
 
 let reconfig_cmd =
   let run nodes k vnodes vars seed writes write_period demote_after chaos
-      connect_timeout drain_quiet deadline wal_dir out_history json engine =
+      connect_timeout deadline wal_dir out_history json engine =
     apply_engine engine;
     match
       Reconfig.run ~n:nodes ~k ~vnodes ~n_vars:vars ~seed ~writes
         ~write_period_ms:write_period ~demote_after_ms:demote_after ?chaos
-        ?connect_timeout_ms:connect_timeout ?quiet_ms:drain_quiet
-        ?deadline_ms:deadline ?wal_dir ()
+        ?connect_timeout_ms:connect_timeout ?deadline_ms:deadline ?wal_dir ()
     with
     | Error msg ->
         prerr_endline msg;
@@ -1297,13 +1290,13 @@ let reconfig_cmd =
              run.")
     Term.(const run $ nodes_arg $ k_arg $ vnodes_arg $ vars_arg $ seed_arg
           $ writes_arg $ write_period_arg $ demote_after_arg $ chaos_arg
-          $ connect_timeout_arg $ drain_quiet_arg $ deadline_arg $ wal_dir_arg
+          $ connect_timeout_arg $ deadline_arg $ wal_dir_arg
           $ out_history_arg $ json_arg $ engine_arg)
 
 let cluster_cmd =
   let run nodes spec workload seed chaos session checkpoint_ms parity json
       out_history gc_space_overhead engine durable_flag fsync_every
-      fsync_interval wal_dir connect_timeout drain_quiet deadline =
+      fsync_interval wal_dir connect_timeout deadline =
     apply_engine engine;
     let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt in
     let durable =
@@ -1314,8 +1307,7 @@ let cluster_cmd =
     match
       Cluster.run ~n:nodes ~protocol:spec ~workload ~seed ?chaos ~session
         ?checkpoint_every_ms:checkpoint_ms ?gc_space_overhead ?durable ?wal_dir
-        ?connect_timeout_ms:connect_timeout ?quiet_ms:drain_quiet
-        ?deadline_ms:deadline ()
+        ?connect_timeout_ms:connect_timeout ?deadline_ms:deadline ()
     with
     | Error msg ->
         prerr_endline msg;
@@ -1519,7 +1511,7 @@ let cluster_cmd =
           $ chaos_arg $ session_arg $ checkpoint_ms_arg $ parity_arg $ json_arg
           $ out_history_arg $ gc_space_overhead_arg $ engine_arg
           $ durable_flag_arg $ fsync_every_arg $ fsync_interval_arg
-          $ wal_dir_arg $ connect_timeout_arg $ drain_quiet_arg $ deadline_arg)
+          $ wal_dir_arg $ connect_timeout_arg $ deadline_arg)
 
 (* --- open-loop load tier -------------------------------------------------------- *)
 

@@ -48,9 +48,7 @@ let loopback = Unix.inet_addr_loopback
 let child_main ~self ~listen_fds ~peers ~protocol ~spec ~seed ~timeouts ~chaos
     ~session ~checkpoint ~checkpoint_every_ms ~incarnation ~gc_space_overhead
     ~durable wfd =
-  let hello_timeout_ms, run_timeout_ms, quiet_ms, connect_timeout_ms =
-    timeouts
-  in
+  let hello_timeout_ms, run_timeout_ms, connect_timeout_ms = timeouts in
   Array.iteri
     (fun i fd ->
       if i <> self then try Unix.close fd with Unix.Unix_error _ -> ())
@@ -59,7 +57,7 @@ let child_main ~self ~listen_fds ~peers ~protocol ~spec ~seed ~timeouts ~chaos
     try
       Finished
         (Node.run ~self ~listen_fd:listen_fds.(self) ~peers ~protocol
-           ~workload:spec ~seed ?hello_timeout_ms ?run_timeout_ms ?quiet_ms
+           ~workload:spec ~seed ?hello_timeout_ms ?run_timeout_ms
            ?connect_timeout_ms ?chaos ~session ?checkpoint
            ?checkpoint_every_ms ~incarnation ?gc_space_overhead ?durable ())
     with
@@ -133,7 +131,7 @@ let freeze_wal ~src ~dst =
       else Ok (Oplog.digest ~ck:r.Wal.r_checkpoint ~entries)
 
 let run ~n ~protocol ~workload ~seed ?hello_timeout_ms ?run_timeout_ms
-    ?quiet_ms ?connect_timeout_ms ?deadline_ms ?chaos ?(session = false)
+    ?connect_timeout_ms ?deadline_ms ?chaos ?(session = false)
     ?checkpoint_every_ms ?gc_space_overhead ?durable ?wal_dir () =
   let chaos =
     match chaos with Some p when Fault.Plan.is_none p -> None | c -> c
@@ -171,7 +169,7 @@ let run ~n ~protocol ~workload ~seed ?hello_timeout_ms ?run_timeout_ms
               in
               let peers = Array.map Live.listen_addr listen_fds in
               let timeouts =
-                (hello_timeout_ms, run_timeout_ms, quiet_ms, connect_timeout_ms)
+                (hello_timeout_ms, run_timeout_ms, connect_timeout_ms)
               in
               let has_crashes =
                 match chaos with
@@ -464,9 +462,18 @@ let run ~n ~protocol ~workload ~seed ?hello_timeout_ms ?run_timeout_ms
                        | Finished _ -> None)
                 |> List.filter_map Fun.id
               in
+              (* a node that gave up waiting for termination is wedged
+                 too, not crashed *)
+              let node_wedged =
+                Array.exists
+                  (function
+                    | Crashed msg -> String.starts_with ~prefix:"wedged:" msg
+                    | Finished _ -> false)
+                  reports
+              in
               if crashes <> [] then
                 Error
-                  ((if !wedged then "wedged: " else "")
+                  ((if !wedged || node_wedged then "wedged: " else "")
                   ^ String.concat "\n" crashes)
               else
                 let node_results =

@@ -74,7 +74,6 @@ val run :
   seed:int ->
   ?hello_timeout_ms:int ->
   ?run_timeout_ms:int ->
-  ?quiet_ms:int ->
   ?connect_timeout_ms:int ->
   ?deadline_ms:int ->
   ?chaos:Repro_msgpass.Fault.Plan.t ->

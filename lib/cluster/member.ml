@@ -23,7 +23,6 @@ type config = {
   write_period_ms : int;
   hello_timeout_ms : int;
   run_timeout_ms : int;
-  quiet_ms : int;
   connect_timeout_ms : int;
   chaos : Fault.Plan.t option;
   wal_dir : string option;
@@ -96,6 +95,9 @@ let ints_of_string s =
   else List.map int_of_string (String.split_on_char ',' s)
 
 let value_of_store = function None -> Op.Init | Some (_, v) -> Op.Val v
+
+(* quiet window that ends a member's run, see the end of [run] *)
+let drain_quiet_ms = 300
 
 let run (cfg : config) : result =
   let t_start = Unix.gettimeofday () in
@@ -577,7 +579,23 @@ let run (cfg : config) : result =
      (match wal with Some (w, _) -> (try Wal.close w with _ -> ()) | None -> ());
      raise c);
   Live.finish_program lt;
-  Live.drain lt ~quiet_ms:cfg.quiet_ms ~max_ms:(cfg.quiet_ms + 2_000);
+  (* This runtime answers no termination probe's passivity question (it
+     is due to fold into Node): it still serves a quiet window, here,
+     until no frame has been sent or dispatched for [drain_quiet_ms] —
+     bare timer fires don't count — or for 2 s more at most. *)
+  let started = Live.now_ms lt in
+  let last = ref started and seen = ref (Live.activity lt) in
+  while
+    Live.now_ms lt - !last < drain_quiet_ms
+    && Live.now_ms lt - started < drain_quiet_ms + 2_000
+  do
+    ignore (Live.step lt ~block:true : bool);
+    let a = Live.activity lt in
+    if a <> !seen then begin
+      seen := a;
+      last := Live.now_ms lt
+    end
+  done;
   let stale = Live.stale_epochs lt in
   Live.close lt;
   (match wal with Some (w, _) -> Wal.close w | None -> ());

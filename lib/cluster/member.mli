@@ -58,7 +58,6 @@ type config = {
   write_period_ms : int;
   hello_timeout_ms : int;
   run_timeout_ms : int;
-  quiet_ms : int;  (** drain quiet window after [finish] *)
   connect_timeout_ms : int;  (** per reconnection episode; 0 = unbounded *)
   chaos : Fault.Plan.t option;
       (** [crash=N\@K+R] counts {e migration-record sends} in this tier

@@ -80,7 +80,8 @@ let ck_of_payload path payload : checkpoint =
 let kind_text = function Op.Read -> "read" | Op.Write -> "write"
 
 let run ~self ~listen_fd ~peers ~protocol ~workload ~seed
-    ?(hello_timeout_ms = 10_000) ?(run_timeout_ms = 60_000) ?(quiet_ms = 150)
+    ?(hello_timeout_ms = 10_000) ?(run_timeout_ms = 60_000)
+    ?quiet_ms:(_ : int option)
     ?(connect_timeout_ms = 0) ?chaos ?(session = false) ?(coalesce = 1)
     ?checkpoint ?(checkpoint_every_ms = 100) ?(incarnation = 0)
     ?gc_space_overhead ?durable () =
@@ -97,9 +98,6 @@ let run ~self ~listen_fd ~peers ~protocol ~workload ~seed
     match chaos with Some p when Fault.Plan.is_none p -> None | c -> c
   in
   let session = session || chaos <> None || coalesce > 1 in
-  (* lossy links hide in silence up to a full retransmission backoff; the
-     quiet window must outlast one or nodes exit mid-recovery *)
-  let quiet_ms = if chaos <> None then max quiet_ms 600 else quiet_ms in
   let plan_text =
     match chaos with None -> "" | Some p -> Fault.Plan.to_string p
   in
@@ -148,6 +146,11 @@ let run ~self ~listen_fd ~peers ~protocol ~workload ~seed
       protocol.Registry.make ~transport:factory
         ~dist:workload.Workload_spec.dist ~seed ()
     in
+    (* a segment awaiting its ack may still be retransmitted: the node is
+       not passive until the session window is empty *)
+    Option.iter
+      (fun c -> Live.set_passive lt ~on_probe:c.Session.flush_acks c.Session.idle)
+      sess;
     if
       (checkpoint <> None || durable <> None)
       && memory.Memory.snapshot = None
@@ -380,15 +383,11 @@ let run ~self ~listen_fd ~peers ~protocol ~workload ~seed
     done;
     (* make the finished flag durable before announcing it *)
     Option.iter (fun f -> f ()) write_ck;
-    Live.finish_program lt;
-    while not (Live.all_done lt) do
-      if Live.now_ms lt > run_timeout_ms then
-        fail "node %d: peers still running after %d ms" self run_timeout_ms;
-      ignore (Live.step lt ~block:true)
-    done;
-    (* peers may still be producing handler-to-handler traffic (acks,
-       gossip hops, retransmissions); serve until the cluster goes quiet *)
-    Live.drain lt ~quiet_ms ~max_ms:run_timeout_ms;
+    Live.finish_program ~ops:(List.length !ops) lt;
+    (* peers may still be running their programs or producing
+       handler-to-handler traffic (acks, gossip hops, retransmissions);
+       serve until the cluster has terminated *)
+    Live.drain lt ~quiet_ms:0 ~max_ms:run_timeout_ms;
     let finals =
       List.map
         (fun var -> (var, memory.Memory.read ~proc:self ~var))

@@ -74,9 +74,17 @@ val run :
   ?durable:string * Repro_durable.Wal.fsync_policy ->
   unit ->
   result
-(** Defaults: 10 s hello timeout, 60 s run timeout, 150 ms quiet window
-    (raised to ≥600 ms under chaos — the quiet window must outlast a full
-    retransmission backoff).  [connect_timeout_ms] caps each reconnection
+(** Defaults: 10 s hello timeout, 60 s run timeout.  After its program
+    the node serves until the cluster has terminated
+    ({!Repro_transport.Live.drain}): every node's program has finished,
+    no client is connected, every session segment has been acked and no
+    frame is in flight.  A node whose program recorded no operation
+    counts as idle only once it has served a client, so a cluster of
+    empty programs waits for its clients however late they connect.
+    Still unterminated [run_timeout_ms] after the program, the node
+    fails with a ["wedged:"] error.  [quiet_ms] is ignored: it remains
+    for callers written against the quiet-window drain this replaced.
+    [connect_timeout_ms] caps each reconnection
     episode to a dead peer (0 = retry until the run timeout; see
     {!Repro_transport.Live.config}).  The [seed] stamps the fingerprint and seeds
     the session layer's jitter; workload scripts were already drawn when

@@ -187,7 +187,7 @@ let salvage ~node ~dir : Member.result option =
       with _ -> None)
 
 let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?(write_period_ms = 5)
-    ?(hello_timeout_ms = 10_000) ?(run_timeout_ms = 60_000) ?(quiet_ms = 300)
+    ?(hello_timeout_ms = 10_000) ?(run_timeout_ms = 60_000)
     ?(connect_timeout_ms = 0) ?deadline_ms ?(demote_after_ms = 2_500) ?chaos
     ?wal_dir () : (outcome, string) result =
   let t_start = Unix.gettimeofday () in
@@ -266,7 +266,6 @@ let run ~n ~k ~vnodes ~n_vars ~seed ?(writes = 40) ?(write_period_ms = 5)
                       write_period_ms;
                       hello_timeout_ms;
                       run_timeout_ms;
-                      quiet_ms;
                       connect_timeout_ms;
                       chaos;
                       wal_dir = Some (node_wal self);

@@ -78,7 +78,6 @@ val run :
   ?write_period_ms:int ->
   ?hello_timeout_ms:int ->
   ?run_timeout_ms:int ->
-  ?quiet_ms:int ->
   ?connect_timeout_ms:int ->
   ?deadline_ms:int ->
   ?demote_after_ms:int ->

@@ -143,25 +143,15 @@ let run (cfg : config) =
             (fun so -> Gc.set { (Gc.get ()) with Gc.space_overhead = so })
             cfg.gc_space_overhead
         in
-        let nodes =
-          Array.init cfg.n (fun self ->
-              spawn (fun () ->
-                  Array.iteri
-                    (fun j fd -> if j <> self then Unix.close fd)
-                    listen_fds;
-                  let r =
-                    Node.run ~self ~listen_fd:listen_fds.(self) ~peers
-                      ~protocol:cfg.protocol ~workload:spec ~seed:cfg.seed
-                      ~session:true ~coalesce:cfg.coalesce ~run_timeout_ms
-                      ~quiet_ms:1_000 ?gc_space_overhead:cfg.gc_space_overhead
-                      ()
-                  in
-                  let tms = Unix.times () in
-                  Node_ok (r, tms.Unix.tms_utime +. tms.Unix.tms_stime)))
-        in
+        (* Clients come first: each draws its whole schedule (millions of
+           events take a while) and reports it ready before any node is
+           forked, so no node runs while a client is still planning.  The
+           listeners are bound already: early dials wait in the backlog. *)
+        let ready_r, ready_w = Unix.pipe () in
         let clients =
           Array.init cfg.clients (fun cid ->
               spawn (fun () ->
+                  Unix.close ready_r;
                   apply_gc ();
                   Array.iter Unix.close listen_fds;
                   let events =
@@ -170,10 +160,43 @@ let run (cfg : config) =
                       ~duration_ms:cfg.duration_ms
                       ~seed:(client_seed cfg.seed cid)
                   in
+                  ignore (Unix.write_substring ready_w "r" 0 1 : int);
+                  Unix.close ready_w;
                   Client_ok
                     (Client.run ~client_id:cid ~peers ~events
                        ~drain_plan:cfg.drain_plan ~duration_ms:cfg.duration_ms
                        ~grace_ms ())))
+        in
+        Unix.close ready_w;
+        let all_ready =
+          let buf = Bytes.create 64 in
+          let rec wait got =
+            if got >= cfg.clients then true
+            else
+              match Unix.read ready_r buf 0 (Bytes.length buf) with
+              | 0 -> false (* a client died before its schedule was built *)
+              | k -> wait (got + k)
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait got
+          in
+          wait 0
+        in
+        Unix.close ready_r;
+        let nodes =
+          if not all_ready then [||]
+          else
+            Array.init cfg.n (fun self ->
+                spawn (fun () ->
+                    Array.iteri
+                      (fun j fd -> if j <> self then Unix.close fd)
+                      listen_fds;
+                    let r =
+                      Node.run ~self ~listen_fd:listen_fds.(self) ~peers
+                        ~protocol:cfg.protocol ~workload:spec ~seed:cfg.seed
+                        ~session:true ~coalesce:cfg.coalesce ~run_timeout_ms
+                        ?gc_space_overhead:cfg.gc_space_overhead ()
+                    in
+                    let tms = Unix.times () in
+                    Node_ok (r, tms.Unix.tms_utime +. tms.Unix.tms_stime)))
         in
         Array.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
           listen_fds;

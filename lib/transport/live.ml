@@ -90,7 +90,13 @@ type conn = {
   mutable closed : bool;
   cq : Outq.t;  (* client replies awaiting flush on this connection *)
   mutable cq_dirty : bool;
+  mutable peer : int;
+      (* the node whose Hello opened this connection; -1 until one arrives
+         (a client, or a peer whose Hello is still in flight) *)
 }
+
+(* The lowest-numbered node runs the termination detector. *)
+let detector = 0
 
 type t = {
   cfg : config;
@@ -119,13 +125,41 @@ type t = {
   mutable stale_epochs : int;  (* data-plane frames dropped for an old epoch *)
   hello_seen : bool array;
   done_seen : bool array;
+  (* termination detection: data frames counted per link, self-link
+     included.  A sender's count runs across its reconnections; each new
+     outbound connection opens with a Hello carrying the count so far
+     (the base), and the receiver restarts its count for that sender from
+     the base of the newest connection, so frames lost with a broken
+     connection or a crashed process drop out of both sides at once. *)
+  link_sent : int array;
+  link_recv : int array;
+  out_gen : int array;  (* outbound connections dialed per peer *)
+  in_link : (int * int) array;  (* newest (incarnation, generation) per peer *)
+  in_conn : conn option array;  (* newest connection per peer: only its data frames count *)
+  mutable open_clients : int;  (* open connections with no Hello *)
+  mutable program_ops : int;
+  mutable passive_pred : unit -> bool;
+  mutable on_probe : unit -> unit;
+  (* what this node last told the detector, and whether a change is owed *)
+  mutable owe_notify : bool;
+  mutable told_quiet : bool;
+  mutable told_worked : bool;
+  mutable halted : bool;
+  (* detector state (node [detector] only, once it drains) *)
+  mutable wave : int;
+  mutable wave_due : int;
+  mutable rewave_ms : int;
+  mutable wave_reports : Termination.report option array;
+  mutable wave_missing : int;  (* reports the open wave still lacks; 0: none open *)
+  mutable prev_wave : Termination.report array option;
+  known_quiet : bool array;
+  known_worked : bool array;
   mutable sent : int;
   mutable delivered : int;
   mutable total_control_bytes : int;
   mutable total_payload_bytes : int;
   per_node_sent : int array;
   per_node_received : int array;
-  mutable draining : bool;
   mutable activity : int;  (* frames written or dispatched; timer fires excluded *)
   mutable factory_used : bool;
   mutable done_sent : bool;
@@ -185,13 +219,33 @@ let create cfg ~listen_fd =
     stale_epochs = 0;
     hello_seen;
     done_seen;
+    link_sent = Array.make cfg.n 0;
+    link_recv = Array.make cfg.n 0;
+    out_gen = Array.make cfg.n 0;
+    in_link = Array.make cfg.n (-1, -1);
+    in_conn = Array.make cfg.n None;
+    open_clients = 0;
+    program_ops = 0;
+    passive_pred = (fun () -> true);
+    on_probe = (fun () -> ());
+    owe_notify = false;
+    told_quiet = false;
+    told_worked = false;
+    halted = false;
+    wave = 0;
+    wave_due = 0;
+    rewave_ms = 0;
+    wave_reports = [||];
+    wave_missing = 0;
+    prev_wave = None;
+    known_quiet = Array.make cfg.n true;
+    known_worked = Array.make cfg.n true;
     sent = 0;
     delivered = 0;
     total_control_bytes = 0;
     total_payload_bytes = 0;
     per_node_sent = Array.make cfg.n 0;
     per_node_received = Array.make cfg.n 0;
-    draining = false;
     activity = 0;
     factory_used = false;
     done_sent = false;
@@ -227,7 +281,7 @@ let write_all t fd buf =
     true
   with
   | Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _)
-    when t.draining || t.cfg.resilient ->
+    when t.halted || t.cfg.resilient ->
     false
 
 (* The satellite's error taxonomy, shared by the first dial and every
@@ -239,22 +293,23 @@ let transient_connect_error = function
   | _ -> false
 
 (* The Hello body carries the config fingerprint plus the sender's
-   incarnation, so peers can tell a respawned node from a fresh one. *)
-let hello_body t = Printf.sprintf "%s\ninc=%d" (arm_fingerprint t) t.cfg.incarnation
+   incarnation, so peers can tell a respawned node from a fresh one, and
+   the connection's generation and count base for termination counting. *)
+let hello_body t dst =
+  Printf.sprintf "%s\ninc=%d gen=%d base=%d" (arm_fingerprint t)
+    t.cfg.incarnation t.out_gen.(dst) t.link_sent.(dst)
 
 let split_hello body =
   match String.rindex_opt body '\n' with
   | Some i -> (
-      let fp = String.sub body 0 i in
       let rest = String.sub body (i + 1) (String.length body - i - 1) in
       match
-        if String.length rest > 4 && String.sub rest 0 4 = "inc=" then
-          int_of_string_opt (String.sub rest 4 (String.length rest - 4))
-        else None
+        Scanf.sscanf rest "inc=%u gen=%u base=%u%!" (fun a b c -> (a, b, c))
       with
-      | Some inc -> (fp, inc)
-      | None -> (body, 0))
-  | None -> (body, 0)
+      | inc, gen, base -> (String.sub body 0 i, inc, gen, base)
+      | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
+          (body, 0, 0, 0))
+  | None -> (body, 0, 0, 0)
 
 let dial addr =
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
@@ -274,8 +329,14 @@ let hello_frame t dst =
     epoch = t.cur_epoch;
     control_bytes = 0;
     payload_bytes = 0;
-    body = hello_body t;
+    body = hello_body t dst;
   }
+
+(* A fresh outbound connection to peer [i]: the next generation, opened
+   by a Hello that carries the count base. *)
+let opened t i fd =
+  t.out_fds.(i) <- Some fd;
+  t.out_gen.(i) <- t.out_gen.(i) + 1
 
 let done_frame t dst =
   { Wire.kind = Wire.Done; src = t.cfg.self; dst; epoch = t.cur_epoch;
@@ -287,8 +348,14 @@ let done_frame t dst =
    gone): the session layer above retransmits. *)
 let drop_outq t i =
   let q = t.outqs.(i) in
-  if not (Outq.is_empty q) then
+  if not (Outq.is_empty q) then begin
     t.dropped_frames <- t.dropped_frames + Outq.unsent q;
+    (* a data frame that never fully left was never sent *)
+    for k = q.head to q.len - 1 do
+      let b, _, _ = q.chunks.(k) in
+      if Wire.is_data b then t.link_sent.(i) <- t.link_sent.(i) - 1
+    done
+  end;
   Outq.reset q t.pool
 
 let rec flush_peer t i =
@@ -308,9 +375,9 @@ let rec flush_peer t i =
       with
       | () -> Outq.reset q t.pool
       | exception Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _)
-        when t.draining || t.cfg.resilient ->
+        when t.halted || t.cfg.resilient ->
           drop_outq t i;
-          if t.cfg.resilient && not t.draining then mark_peer_lost t i)
+          if t.cfg.resilient && not t.halted then mark_peer_lost t i)
 
 and mark_peer_lost t i =
   drop_outq t i;
@@ -335,7 +402,7 @@ and schedule_reconnect t i =
       match dial t.cfg.peers.(i) with
       | Ok fd ->
           t.reconnect_pending.(i) <- false;
-          t.out_fds.(i) <- Some fd;
+          opened t i fd;
           t.reconnects <- t.reconnects + 1;
           ignore (write_all t fd (Wire.encode (hello_frame t i)))
       | Error e when transient_connect_error e ->
@@ -348,7 +415,7 @@ and schedule_reconnect t i =
             add_timer t ~delay:(delay + Rng.int t.jrng 20) (attempt ~delay)
       | Error e ->
           t.reconnect_pending.(i) <- false;
-          if not t.draining then
+          if not t.halted then
             failwith
               (Printf.sprintf "live: reconnect to node %d failed: %s" i
                  (Unix.error_message e))
@@ -409,12 +476,13 @@ let enqueue_peer t dst buf total =
         t.dropped_frames <- t.dropped_frames + 1;
         schedule_reconnect t dst
       end
-      else if not t.draining then
+      else if not t.halted then
         failwith (Printf.sprintf "live: no connection to node %d" dst)
   | Some _ ->
       let q = t.outqs.(dst) in
       if Outq.is_empty q then t.dirty_peers <- dst :: t.dirty_peers;
       Outq.push q (buf, 0, total);
+      if Wire.is_data buf then t.link_sent.(dst) <- t.link_sent.(dst) + 1;
       t.activity <- t.activity + 1
 
 (* Legacy arm: one blocking write per frame, exactly the pre-hotpath
@@ -426,11 +494,14 @@ let send_frame_legacy t (fr : Wire.frame) =
         t.dropped_frames <- t.dropped_frames + 1;
         schedule_reconnect t fr.dst
       end
-      else if not t.draining then
+      else if not t.halted then
         failwith (Printf.sprintf "live: no connection to node %d" fr.dst)
   | Some fd ->
-      if write_all t fd (Wire.encode fr) then t.activity <- t.activity + 1
-      else if t.cfg.resilient && not t.draining then begin
+      if write_all t fd (Wire.encode fr) then begin
+        t.activity <- t.activity + 1;
+        t.link_sent.(fr.dst) <- t.link_sent.(fr.dst) + 1
+      end
+      else if t.cfg.resilient && not t.halted then begin
         t.dropped_frames <- t.dropped_frames + 1;
         mark_peer_lost t fr.dst
       end
@@ -448,7 +519,7 @@ and refresh_peer t i =
   | None -> ());
   (match dial t.cfg.peers.(i) with
   | Ok fd ->
-      t.out_fds.(i) <- Some fd;
+      opened t i fd;
       t.reconnects <- t.reconnects + 1;
       ignore (write_all t fd (Wire.encode (hello_frame t i)))
   | Error e when transient_connect_error e -> schedule_reconnect t i
@@ -524,6 +595,149 @@ let send_control t ~dst ~kind ~body =
   Bytes.blit_string body 0 buf Wire.body_offset body_len;
   enqueue_peer t dst buf total
 
+(* --- termination detection ------------------------------------------------ *)
+
+(* A node is quiet when its program has finished and no client can still
+   make it act; passive when, besides, the layer above has nothing it
+   could send on its own. *)
+let quiet t = t.done_sent && t.open_clients = 0 && t.dirty_conns = []
+
+let worked t = t.program_ops > 0 || t.client_reqs > 0
+
+let sum = Array.fold_left ( + ) 0
+
+(* the tag of an unsolicited report *)
+let notice = { Termination.detector = 0; wave = 0 }
+
+(* [probe]: a wave is asking, so the layer above first sends what it owes
+   (the session layer its delayed acks) *)
+let own_report t ~probe =
+  let quiet = quiet t in
+  if quiet && probe then t.on_probe ();
+  {
+    Termination.inc = t.cfg.incarnation;
+    quiet;
+    passive = quiet && t.passive_pred ();
+    worked = worked t;
+    sent = sum t.link_sent;
+    recv = sum t.link_recv;
+  }
+
+let send_report t ~tag (r : Termination.report) =
+  t.told_quiet <- r.Termination.quiet;
+  t.told_worked <- r.Termination.worked;
+  t.owe_notify <- not (r.Termination.quiet && r.Termination.worked);
+  send_control t ~dst:detector ~kind:Wire.Report
+    ~body:(Termination.encode_report tag r)
+
+(* A node that answered a wave while busy (or before doing any work)
+   tells the detector once it goes quiet, or once its first client
+   session ends: the detector sends nothing until then. *)
+let notify_if_owed t =
+  if t.owe_notify && quiet t then
+    let w = worked t in
+    if (not t.told_quiet) || (w && not t.told_worked) then
+      send_report t ~tag:notice (own_report t ~probe:false)
+
+(* A wave that a lost report (a crashed peer, a broken link) keeps open
+   is abandoned and replaced after this long. *)
+let wave_retry_ms = 200
+
+(* While every node is quiet but some are not yet passive (a segment
+   awaits its ack), the detector re-probes — each probe releases the
+   peers' delayed acks — after 1 ms, doubling up to this cap for as long
+   as the waves come back unchanged (a retransmission timer, a
+   partition): nodes only waiting on the network cost a few frames a
+   second. *)
+let rewave_max_ms = 64
+
+let halt_cluster t tag =
+  t.halted <- true;
+  let body = Termination.encode_halt tag in
+  for i = 0 to t.cfg.n - 1 do
+    if i <> t.cfg.self then send_control t ~dst:i ~kind:Wire.Halt ~body
+  done
+
+let complete_wave t =
+  let cur = Array.map Option.get t.wave_reports in
+  match t.prev_wave with
+  | Some prev when Termination.decide ~prev ~cur ->
+      halt_cluster t { Termination.detector = t.cfg.incarnation; wave = t.wave }
+  | prev ->
+      t.prev_wave <- Some cur;
+      let settled =
+        Array.for_all (fun r -> r.Termination.passive) cur
+        && Termination.balanced cur
+      in
+      (* a settled wave needs only its confirmation: send it at once *)
+      t.rewave_ms <-
+        (if settled then 0
+         else if prev = Some cur then
+           min rewave_max_ms (max 1 (2 * t.rewave_ms))
+         else 1);
+      t.wave_due <- now_ms t + t.rewave_ms
+
+let launch_wave t =
+  t.wave <- t.wave + 1;
+  t.wave_due <- now_ms t + wave_retry_ms;
+  let tag = { Termination.detector = t.cfg.incarnation; wave = t.wave } in
+  t.wave_reports <- Array.make t.cfg.n None;
+  t.wave_reports.(t.cfg.self) <- Some (own_report t ~probe:true);
+  t.wave_missing <- t.cfg.n - 1;
+  let body = Termination.encode_probe tag in
+  for i = 0 to t.cfg.n - 1 do
+    if i <> t.cfg.self then send_control t ~dst:i ~kind:Wire.Probe ~body
+  done;
+  if t.wave_missing = 0 then complete_wave t
+
+(* Launch a wave only when every node was last seen quiet and one of
+   them has worked: while any node is busy, the detector sends nothing. *)
+let detector_tick t =
+  let now = now_ms t in
+  if now >= t.wave_due then
+    if t.wave_missing > 0 then launch_wave t
+    else if quiet t then begin
+      let all_quiet = ref true and any_worked = ref (worked t) in
+      for i = 0 to t.cfg.n - 1 do
+        if i <> t.cfg.self then begin
+          if not t.known_quiet.(i) then all_quiet := false;
+          if t.known_worked.(i) then any_worked := true
+        end
+      done;
+      if !all_quiet && !any_worked then launch_wave t
+    end
+
+let on_report t ~src body =
+  match Termination.decode_report body with
+  | Error e -> failwith ("live: corrupt termination report: " ^ e)
+  | Ok (tag, r) ->
+      t.known_quiet.(src) <- r.Termination.quiet;
+      t.known_worked.(src) <- r.Termination.worked;
+      if
+        t.wave_missing > 0
+        && tag.Termination.detector = t.cfg.incarnation
+        && tag.Termination.wave = t.wave
+        && t.wave_reports.(src) = None
+      then begin
+        t.wave_reports.(src) <- Some r;
+        t.wave_missing <- t.wave_missing - 1;
+        if t.wave_missing = 0 then complete_wave t
+      end
+
+let on_termination_frame t (v : Wire.view) =
+  let src = v.Wire.v_src in
+  match v.Wire.v_kind with
+  | Wire.Probe -> (
+      match Termination.decode_probe (Wire.view_body v) with
+      | Error e -> failwith ("live: corrupt termination probe: " ^ e)
+      | Ok tag -> send_report t ~tag (own_report t ~probe:true))
+  | Wire.Report -> if t.cfg.self = detector then on_report t ~src (Wire.view_body v)
+  | Wire.Halt -> (
+      match Termination.decode_halt (Wire.view_body v) with
+      | Error e -> failwith ("live: corrupt halt: " ^ e)
+      | Ok _ -> t.halted <- true)
+  | _ -> assert false
+
 let dispatch ?conn t (v : Wire.view) =
   match v.Wire.v_kind with
   | Wire.Join | Wire.Leave | Wire.Transfer | Wire.Epoch | Wire.Ping
@@ -562,25 +776,51 @@ let dispatch ?conn t (v : Wire.view) =
             v
       | _ -> () (* no front door installed: drop, the client times out *))
   | Wire.Cresp -> () (* nodes never consume responses; tolerate strays *)
-  | Wire.Hello | Wire.Done | Wire.Data ->
+  | Wire.Hello | Wire.Done | Wire.Data | Wire.Probe | Wire.Report | Wire.Halt
+    ->
       if v.Wire.v_src < 0 || v.Wire.v_src >= t.cfg.n then
         failwith (Printf.sprintf "live: frame from unknown node %d" v.Wire.v_src);
       t.activity <- t.activity + 1;
       (match v.Wire.v_kind with
       | Wire.Creq | Wire.Cresp -> assert false
       | Wire.Hello ->
-          let fp, inc = split_hello (Wire.view_body v) in
+          let src = v.Wire.v_src in
+          let fp, inc, gen, base = split_hello (Wire.view_body v) in
           if not (String.equal fp (arm_fingerprint t)) then
             failwith
               (Printf.sprintf "live: fingerprint mismatch with node %d (%S vs %S)"
-                 v.Wire.v_src fp (arm_fingerprint t));
+                 src fp (arm_fingerprint t));
+          (match conn with
+          | Some c ->
+              if c.peer < 0 then begin
+                c.peer <- src;
+                t.open_clients <- t.open_clients - 1
+              end;
+              (* the newest connection from [src] takes over its count *)
+              if compare (inc, gen) t.in_link.(src) > 0 then begin
+                (* a respawned node has answered no probe yet: whatever
+                   its predecessor reported no longer holds *)
+                if inc <> fst t.in_link.(src) then begin
+                  t.known_quiet.(src) <- true;
+                  t.known_worked.(src) <- true
+                end;
+                t.in_conn.(src) <- Some c;
+                t.in_link.(src) <- (inc, gen);
+                t.link_recv.(src) <- base
+              end
+          | None -> ());
           t.hello_seen.(v.Wire.v_src) <- true;
           if t.cfg.resilient && inc > 0 && inc > t.peer_inc.(v.Wire.v_src) then begin
             t.peer_inc.(v.Wire.v_src) <- inc;
             refresh_peer t v.Wire.v_src
           end
       | Wire.Done -> t.done_seen.(v.Wire.v_src) <- true
+      | Wire.Probe | Wire.Report | Wire.Halt -> on_termination_frame t v
       | Wire.Data ->
+          (match (conn, t.in_conn.(v.Wire.v_src)) with
+          | Some c, Some cur when c == cur ->
+              t.link_recv.(v.Wire.v_src) <- t.link_recv.(v.Wire.v_src) + 1
+          | _ -> ());
           (* epoch fence: a data frame from a configuration older than
              ours (a peer that has not heard of the reconfiguration, or a
              crashed node recovering at its pre-crash epoch) is dropped
@@ -618,8 +858,9 @@ let accept_ready t =
         (try Unix.setsockopt fd TCP_NODELAY true with Unix.Unix_error _ -> ());
         let c =
           { fd; dec = Wire.decoder (); closed = false; cq = Outq.create ();
-            cq_dirty = false }
+            cq_dirty = false; peer = -1 }
         in
+        t.open_clients <- t.open_clients + 1;
         t.conns <- c :: t.conns;
         t.read_fds <- fd :: t.read_fds;
         loop true
@@ -636,12 +877,13 @@ let service_conn t c =
   if nread < 0 then false
   else if nread = 0 then begin
     c.closed <- true;
+    if c.peer < 0 then t.open_clients <- t.open_clients - 1;
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
     Outq.reset c.cq t.pool;
     rebuild_read_fds t;
     (* a resilient node treats a truncated stream like a lost frame: the
        peer crashed mid-write and the session layer will resend *)
-    if Wire.pending c.dec > 0 && not t.draining && not t.cfg.resilient then
+    if Wire.pending c.dec > 0 && not t.halted && not t.cfg.resilient then
       failwith "live: peer closed mid-frame";
     true
   end
@@ -693,6 +935,7 @@ let step t ~block =
         if service_conn t c then acted := true)
     t.conns;
   if fire_due t then acted := true;
+  if t.owe_notify then notify_if_owed t;
   (* one writev per dirty link covers everything this step produced *)
   flush_all t;
   !acted
@@ -715,7 +958,7 @@ let connect_peer t ~deadline i =
              (Unix.error_message e))
   in
   let fd = attempt ~delay:10 in
-  t.out_fds.(i) <- Some fd;
+  opened t i fd;
   ignore (write_all t fd (Wire.encode (hello_frame t i)))
 
 let all_hello t = Array.for_all Fun.id t.hello_seen
@@ -732,7 +975,8 @@ let wait_peers t ~timeout_ms =
     ignore (step t ~block:true)
   done
 
-let finish_program t =
+let finish_program ?(ops = 0) t =
+  t.program_ops <- ops;
   flush_all t;
   t.done_sent <- true;
   for i = 0 to t.cfg.n - 1 do
@@ -742,18 +986,22 @@ let finish_program t =
       | None -> ()
   done
 
-let drain t ~quiet_ms ~max_ms =
-  t.draining <- true;
+let drain t ~quiet_ms:(_ : int) ~max_ms =
   let started = now_ms t in
-  let last = ref (now_ms t) in
-  let quiet = ref false in
-  while not !quiet do
-    let before = t.activity in
-    ignore (step t ~block:true);
-    if t.activity <> before then last := now_ms t;
-    let now = now_ms t in
-    if now - !last >= quiet_ms || now - started >= max_ms then quiet := true
-  done
+  while not t.halted do
+    if now_ms t - started >= max_ms then
+      failwith
+        (Printf.sprintf "wedged: cluster not terminated after %d ms" max_ms);
+    if t.cfg.self = detector then detector_tick t;
+    ignore (step t ~block:true)
+  done;
+  flush_all t
+
+let set_passive t ~on_probe pred =
+  t.passive_pred <- pred;
+  t.on_probe <- on_probe
+
+let activity t = t.activity
 
 let close t =
   flush_all t;
@@ -890,8 +1138,10 @@ let factory t =
                        no synchronous shortcut past messages in flight —
                        and with a codec, no serialization either *)
                     t.activity <- t.activity + 1;
+                    t.link_sent.(self) <- t.link_sent.(self) + 1;
                     add_timer t ~delay:0 (fun () ->
                         t.activity <- t.activity + 1;
+                        t.link_recv.(self) <- t.link_recv.(self) + 1;
                         deliver
                           {
                             src;
@@ -938,8 +1188,10 @@ let factory t =
                   in
                   if dst = self then begin
                     t.activity <- t.activity + 1;
+                    t.link_sent.(self) <- t.link_sent.(self) + 1;
                     add_timer t ~delay:0 (fun () ->
                         t.activity <- t.activity + 1;
+                        t.link_recv.(self) <- t.link_recv.(self) + 1;
                         let (st, (m : msg)) = Marshal.from_string fr.body 0 in
                         deliver
                           {

@@ -13,9 +13,22 @@
     + {!wait_peers} — dial everyone, exchange [Hello] fingerprints,
     + run the node program against the protocol's API,
     + {!finish_program} — broadcast [Done],
-    + keep {!step}ping until {!all_done}, then {!drain} a quiet window so
-      late handler-to-handler traffic (acks, forwards, gossip hops)
-      settles, then snapshot results and {!close}.
+    + {!drain} until the cluster has {e terminated} — every program has
+      finished, late handler-to-handler traffic (acks, forwards, gossip
+      hops) has all been delivered and nothing can start more — then
+      snapshot results and {!close}.
+
+    {b Termination.}  The run ends on a proof, not on a quiet spell.
+    The lowest-numbered node's {!drain} runs Mattern's four-counter
+    detection ({!Termination}): probe waves ([Probe]/[Report] control
+    frames) collect every node's passivity and its data-frame counts,
+    and two consecutive identical waves with every node passive and as
+    many frames received as sent end the run with a [Halt].  Probes go
+    out only once every node was last seen quiet, so a busy cluster
+    carries no detection traffic.  Data frames are counted per link;
+    each connection's [Hello] carries the sender's count so far, so the
+    counts stay balanced across broken connections and respawned
+    processes.
 
     The declared control/payload byte counts travel inside each frame
     header, so a live node's {!Transport} stats aggregate exactly the
@@ -110,20 +123,44 @@ val step : t -> block:bool -> bool
     dispatch, so every frame produced in a turn leaves in that turn.
     [true] when any timer fired or socket progressed. *)
 
-val finish_program : t -> unit
+val finish_program : ?ops:int -> t -> unit
 (** Broadcast [Done]: this node's program (its workload slice) has
-    finished issuing operations.  Its handlers stay live.  Pending data
-    frames are flushed first, so [Done] never overtakes them. *)
+    finished issuing operations, [ops] of them (default 0).  Its handlers
+    stay live.  Pending data frames are flushed first, so [Done] never
+    overtakes them.  If every node's program recorded no operation, the
+    cluster is driven by clients alone, and it cannot terminate before
+    some node has served a client request. *)
 
 val all_done : t -> bool
 (** Every peer's [Done] has been seen. *)
 
 val drain : t -> quiet_ms:int -> max_ms:int -> unit
-(** Serve until no frame has been sent or delivered for [quiet_ms]
-    (bare timer fires don't count as activity — a retransmission timer
-    with an empty window would otherwise keep the node up forever), or
-    until [max_ms] has elapsed.  While draining, send failures are
-    non-fatal: peers exit their own quiet windows at different times. *)
+(** Serve until the cluster has terminated: every node is {e passive}
+    — it has called {!finish_program}, has no open client connection
+    (an accepted connection whose first frame was not a [Hello]) and no
+    client reply waiting to be written, and the predicate registered
+    with {!set_passive} holds — and no data frame is in flight.  The
+    lowest-numbered node detects this and sends [Halt]; every other
+    node returns when the [Halt] arrives.  Once a node knows the
+    cluster has halted, sends to peers that have already exited are
+    non-fatal.  [quiet_ms] is ignored; it remains for callers written
+    against the quiet-window drain this replaced.
+    @raise Failure (message prefixed ["wedged:"]) when the cluster has
+    not terminated [max_ms] after the call. *)
+
+val set_passive : t -> on_probe:(unit -> unit) -> (unit -> bool) -> unit
+(** Register the layer above's share of passivity: [pred ()] is [true]
+    when that layer holds nothing it could still send without first
+    receiving a frame (the session layer: no unacked segment).  Without
+    it, the layer above is taken to be passive whenever the node is
+    quiet — sound for reliable links, where whatever it sends later is
+    only ever an answer.  [on_probe] runs when a probe wave reaches a
+    quiet node, before [pred] is asked: the layer sends what it was
+    holding back (the session layer's delayed acks), so that a delay
+    meant to batch acks does not hold up termination. *)
+
+val activity : t -> int
+(** Frames written or dispatched so far (timer fires excluded). *)
 
 val now_ms : t -> int
 (** Milliseconds since {!create}. *)

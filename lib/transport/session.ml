@@ -48,6 +48,8 @@ type control = {
   snapshot : unit -> string;
   restore : string -> unit;
   delivered : unit -> int;
+  idle : unit -> bool;
+  flush_acks : unit -> unit;
 }
 
 (* What [snapshot] marshals: plain data only (window messages are protocol
@@ -144,6 +146,8 @@ let wrap ?(config = default) (inner : Transport.factory) :
       snapshot = (fun () -> (the ()).snapshot ());
       restore = (fun blob -> (the ()).restore blob);
       delivered = (fun () -> (the ()).delivered ());
+      idle = (fun () -> (the ()).idle ());
+      flush_acks = (fun () -> (the ()).flush_acks ());
     }
   in
   let factory =
@@ -185,6 +189,8 @@ let wrap ?(config = default) (inner : Transport.factory) :
              stays idle for [ack_delay] — flushed as a standalone Ack *)
           let ack_pending = Array.make_matrix n n false in
           let ack_armed = Array.make_matrix n n false in
+          (* the last cumulative ack value sent on each link *)
+          let acked = Array.make_matrix n n 0 in
           let jitter_rng = Rng.create (config.seed lxor 0x5E55) in
           (* protocol-level accounting: first transmissions and in-order
              first deliveries only — the numbers the paper's experiments
@@ -222,7 +228,9 @@ let wrap ?(config = default) (inner : Transport.factory) :
               if ack_pending.(src).(dst) then begin
                 ack_pending.(src).(dst) <- false;
                 incr piggybacked;
-                ack_value src dst
+                let a = ack_value src dst in
+                acked.(src).(dst) <- a;
+                a
               end
               else -1
             in
@@ -233,8 +241,10 @@ let wrap ?(config = default) (inner : Transport.factory) :
             incr acks;
             incr frames;
             overhead := !overhead + ack_bytes;
+            let next = ack_value from_ to_ in
+            acked.(from_).(to_) <- next;
             tr.Transport.send ~src:from_ ~dst:to_ ~control_bytes:ack_bytes
-              ~payload_bytes:0 (Ack { next = ack_value from_ to_ })
+              ~payload_bytes:0 (Ack { next })
           in
           let ack_flush p s =
             if ack_pending.(p).(s) then begin
@@ -413,6 +423,24 @@ let wrap ?(config = default) (inner : Transport.factory) :
               Array.blit expected.(i) 0 stable.(i) 0 n
             done
           in
+          let idle () =
+            Array.for_all (Array.for_all Ringbuf.is_empty) window
+          in
+          (* every ack owed now, plus — with stable acks — any advance of
+             the checkpoint floor no ack has carried yet *)
+          let flush_acks () =
+            for p = 0 to n - 1 do
+              for s = 0 to n - 1 do
+                if
+                  ack_pending.(p).(s)
+                  || (config.stable_acks && stable.(p).(s) > acked.(p).(s))
+                then begin
+                  ack_pending.(p).(s) <- false;
+                  send_ack ~from_:p ~to_:s
+                end
+              done
+            done
+          in
           installed :=
             Some
               {
@@ -421,6 +449,8 @@ let wrap ?(config = default) (inner : Transport.factory) :
                 snapshot;
                 restore;
                 delivered = (fun () -> !delivered);
+                idle;
+                flush_acks;
               };
           {
             Transport.n_nodes = n;

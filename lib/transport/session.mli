@@ -113,6 +113,15 @@ type control = {
           from the snapshotted value and advances as peers retransmit, so a
           recovering node can wait until redeliveries reach the delivery
           watermark its WAL recorded (the replay-to-live barrier). *)
+  idle : unit -> bool;
+      (** No segment is waiting for its ack: nothing this layer could
+          retransmit.  The live backend's termination detection asks it
+          ({!Live.set_passive}). *)
+  flush_acks : unit -> unit;
+      (** Send every owed ack now instead of after [ack_delay]; with
+          [stable_acks], also an ack for every link whose checkpoint
+          floor has advanced past the last ack sent on it.  Sends nothing
+          when nothing is owed. *)
 }
 
 val wrap : ?config:config -> Transport.factory -> Transport.factory * control

@@ -10,6 +10,9 @@ type kind =
   | Epoch
   | Ping
   | Pong
+  | Probe
+  | Report
+  | Halt
 
 type frame = {
   kind : kind;
@@ -44,6 +47,9 @@ let kind_byte = function
   | Epoch -> 8
   | Ping -> 9
   | Pong -> 10
+  | Probe -> 11
+  | Report -> 12
+  | Halt -> 13
 
 let kind_of_byte = function
   | 0 -> Some Data
@@ -57,7 +63,12 @@ let kind_of_byte = function
   | 8 -> Some Epoch
   | 9 -> Some Ping
   | 10 -> Some Pong
+  | 11 -> Some Probe
+  | 12 -> Some Report
+  | 13 -> Some Halt
   | _ -> None
+
+let is_data buf = Bytes.get_uint8 buf 5 = kind_byte Data
 
 (* Write the length prefix and header into [buf.(0..body_offset-1)]; the
    caller emits the body at [body_offset] (possibly before this call —

@@ -9,7 +9,9 @@
       offset 5   1 byte   kind (0 = data, 1 = hello, 2 = done,
                                 3 = client request, 4 = client response,
                                 5 = join, 6 = leave, 7 = state transfer,
-                                8 = epoch commit, 9 = ping, 10 = pong)
+                                8 = epoch commit, 9 = ping, 10 = pong,
+                                11 = termination probe, 12 = probe
+                                report, 13 = halt)
       offset 6   2 bytes  src node id
       offset 8   2 bytes  dst node id
       offset 10  2 bytes  configuration epoch
@@ -39,6 +41,9 @@
     migrated variable state, [Epoch] commits the new configuration, and
     [Ping]/[Pong] form the heartbeat used for failure detection and
     epoch-readiness polling (the membership runtime in [repro_cluster]).
+    [Probe]/[Report]/[Halt] carry the live backend's termination
+    detection ({!Termination}): they never enter the protocol transport
+    or its accounting.
 
     {b Hot path.}  Frames are built in place: {!Pool.acquire} a buffer,
     emit the body at {!body_offset}, {!set_header}, hand the buffer to
@@ -58,6 +63,9 @@ type kind =
   | Epoch
   | Ping
   | Pong
+  | Probe
+  | Report
+  | Halt
 
 type frame = {
   kind : kind;
@@ -93,6 +101,10 @@ val set_header :
     whole frame then occupies [body_offset + body_len] bytes of [buf].
     @raise Invalid_argument when an id or byte count is out of range or
     the frame would exceed {!max_frame_bytes}. *)
+
+val is_data : Bytes.t -> bool
+(** The frame whose image starts at offset 0 of the buffer (length prefix
+    included, as built by {!set_header}) is a [Data] frame. *)
 
 val encode : frame -> bytes
 (** Full wire representation in a fresh buffer, length prefix included

@@ -17,6 +17,10 @@ module Memory = Repro_core.Memory
 module Registry = Repro_core.Registry
 module Fault = Repro_msgpass.Fault
 module Wal = Repro_durable.Wal
+module Live = Repro_transport.Live
+module Wire = Repro_transport.Wire
+module Rpc = Repro_transport.Rpc
+module Distribution = Repro_sharegraph.Distribution
 
 let check = Alcotest.check
 
@@ -359,6 +363,151 @@ let test_reconfig_wedged_deadline () =
         true
         (String.length msg >= 7 && String.sub msg 0 7 = "wedged:")
 
+(* --- termination: a run ends on a proof, not on a quiet spell ------------- *)
+
+let test_partition_outlasts_window () =
+  (* node 2 is cut off from the start until 1.6 s, 1.5 s and more after
+     the e1 programs have finished: a quiet window (600 ms under chaos)
+     ended the run mid-partition, with node 2's updates undelivered;
+     termination detection waits until every segment is acked *)
+  let chaos = plan_of "seed=4,part=0..1600:2" in
+  let o = run_ok ~chaos ~n:3 ~protocol:"pram-partial" ~workload:"e1" ~seed:7 () in
+  check Alcotest.bool "history checked" true o.Cluster.history_checked;
+  (match o.Cluster.verdict with
+  | Checker.Consistent -> ()
+  | Checker.Inconsistent -> Alcotest.fail "partitioned history violates PRAM"
+  | Checker.Undecidable _ -> Alcotest.fail "e1 history should be differentiated");
+  assert_parity o ~protocol:"pram-partial" ~workload:"e1";
+  let delivered =
+    Array.fold_left
+      (fun a (r : Node.result) -> a + r.Node.metrics.Memory.messages_delivered)
+      0 o.Cluster.node_results
+  in
+  check Alcotest.int "delivered = sent" o.Cluster.messages_sent delivered;
+  check Alcotest.bool "the run outlasted the partition" true
+    (o.Cluster.wall_ms >= 1600)
+
+(* One blocking client on raw sockets: a single [Write] RPC, answered. *)
+let client_write fd ~node ~var ~value =
+  let body = Rpc.encode_request ~id:node (Rpc.Op (Rpc.Write { var; value })) in
+  let frame =
+    Wire.encode
+      { Wire.kind = Wire.Creq; src = 0x8000; dst = node; epoch = 0;
+        control_bytes = 0; payload_bytes = 8; body }
+  in
+  let rec write off =
+    if off < Bytes.length frame then
+      write (off + Unix.write fd frame off (Bytes.length frame - off))
+  in
+  write 0;
+  let dec = Wire.decoder () and buf = Bytes.create 4096 in
+  let rec await () =
+    match Wire.next dec with
+    | Ok (Some f) -> f
+    | Ok None ->
+        let k = Unix.read fd buf 0 (Bytes.length buf) in
+        if k = 0 then Alcotest.failf "node %d closed before replying" node;
+        Wire.feed dec buf k;
+        await ()
+    | Error e -> Alcotest.failf "corrupt reply from node %d: %s" node e
+  in
+  match Rpc.decode_response (await ()).Wire.body with
+  | Ok (_, [| Rpc.Stored |]) -> ()
+  | Ok _ -> Alcotest.failf "node %d did not store the write" node
+  | Error e -> Alcotest.failf "bad response from node %d: %s" node e
+
+let test_late_client () =
+  (* three nodes with empty programs get their only client 400 ms in,
+     past the old 150 ms window: they must still be up, serve it, and
+     exit promptly once it has closed, every replica update delivered *)
+  let n = 3 in
+  let spec =
+    match Workload_spec.make ~name:"load-full" ~n ~seed:5 with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "spec: %s" e
+  in
+  let listen_fds =
+    Array.init n (fun _ -> Live.bind (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)))
+  in
+  let peers = Array.map Live.listen_addr listen_fds in
+  let t0 = Unix.gettimeofday () in
+  let nodes =
+    Array.init n (fun self ->
+        let r, w = Unix.pipe () in
+        match Unix.fork () with
+        | 0 ->
+            Unix.close r;
+            Array.iteri (fun j fd -> if j <> self then Unix.close fd) listen_fds;
+            let code =
+              match
+                Node.run ~self ~listen_fd:listen_fds.(self) ~peers
+                  ~protocol:(spec_of "pram-partial") ~workload:spec ~seed:5
+                  ~session:true ~run_timeout_ms:10_000 ()
+              with
+              | res ->
+                  let oc = Unix.out_channel_of_descr w in
+                  Marshal.to_channel oc
+                    ( res.Node.client_ops,
+                      res.Node.metrics.Memory.messages_sent,
+                      res.Node.metrics.Memory.messages_delivered )
+                    [];
+                  flush oc;
+                  0
+              | exception _ -> 1
+            in
+            Unix._exit code
+        | pid ->
+            Unix.close w;
+            (pid, r))
+  in
+  Array.iter Unix.close listen_fds;
+  Unix.sleepf (Float.max 0. (0.4 -. (Unix.gettimeofday () -. t0)));
+  let conns =
+    Array.map
+      (fun addr ->
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        (try Unix.connect fd addr
+         with Unix.Unix_error (e, _, _) ->
+           Alcotest.failf "node gone before its client came: %s"
+             (Unix.error_message e));
+        fd)
+      peers
+  in
+  Array.iteri
+    (fun node fd ->
+      client_write fd ~node ~var:(List.hd (Distribution.vars_of spec.Workload_spec.dist node))
+        ~value:(100 + node))
+    conns;
+  Array.iter Unix.close conns;
+  let closed = Unix.gettimeofday () in
+  let results =
+    Array.mapi
+      (fun i (pid, r) ->
+        let _, status = Unix.waitpid [] pid in
+        let exited = Unix.gettimeofday () in
+        check Alcotest.bool (Printf.sprintf "node %d exited cleanly" i) true
+          (status = Unix.WEXITED 0);
+        let ic = Unix.in_channel_of_descr r in
+        let (res : int * int * int) = Marshal.from_channel ic in
+        close_in ic;
+        (res, exited -. closed))
+      nodes
+  in
+  Array.iteri
+    (fun i ((client_ops, _, _), after) ->
+      check Alcotest.int (Printf.sprintf "node %d served the client" i) 1
+        client_ops;
+      check Alcotest.bool
+        (Printf.sprintf "node %d exited %.1f ms after the close (< 50)" i
+           (after *. 1000.))
+        true (after < 0.05))
+    results;
+  let sent = Array.fold_left (fun a ((_, s, _), _) -> a + s) 0 results in
+  let delivered = Array.fold_left (fun a ((_, _, d), _) -> a + d) 0 results in
+  check Alcotest.int "every write replicated to both other nodes" (n * (n - 1))
+    sent;
+  check Alcotest.int "all replication delivered" sent delivered
+
 let test_workload_spec_deterministic () =
   (* the parity argument rests on spec construction being pure replay *)
   let fingerprint () =
@@ -411,6 +560,13 @@ let () =
             test_reconfig_demotion_salvage;
           Alcotest.test_case "wedged run put down by deadline" `Quick
             test_reconfig_wedged_deadline;
+        ] );
+      ( "halting",
+        [
+          Alcotest.test_case "partition outlasts the old quiet window" `Quick
+            test_partition_outlasts_window;
+          Alcotest.test_case "late client served, prompt exit after it" `Quick
+            test_late_client;
         ] );
       ( "guards",
         [

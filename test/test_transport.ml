@@ -6,6 +6,7 @@
 module Wire = Repro_transport.Wire
 module Transport = Repro_transport.Transport
 module Live = Repro_transport.Live
+module Termination = Repro_transport.Termination
 module Fault = Repro_msgpass.Fault
 module Latency = Repro_msgpass.Latency
 module Distribution = Repro_sharegraph.Distribution
@@ -27,6 +28,7 @@ let frame_gen =
         [
           Wire.Data; Wire.Hello; Wire.Done; Wire.Creq; Wire.Cresp; Wire.Join;
           Wire.Leave; Wire.Transfer; Wire.Epoch; Wire.Ping; Wire.Pong;
+          Wire.Probe; Wire.Report; Wire.Halt;
         ]
     in
     let* src = int_bound 0xFFFF in
@@ -50,7 +52,10 @@ let frame_print (f : Wire.frame) =
     | Transfer -> "transfer"
     | Epoch -> "epoch"
     | Ping -> "ping"
-    | Pong -> "pong")
+    | Pong -> "pong"
+    | Probe -> "probe"
+    | Report -> "report"
+    | Halt -> "halt")
     f.src f.dst f.epoch f.control_bytes f.payload_bytes f.body
 
 let frame_arb = QCheck.make ~print:frame_print frame_gen
@@ -110,7 +115,7 @@ let test_bad_magic_rejected () =
 
 let test_unknown_kind_rejected () =
   let buf = encoded () in
-  Bytes.set_uint8 buf 5 11;
+  Bytes.set_uint8 buf 5 14;
   expect_error "unknown kind" buf
 
 let test_oversized_rejected () =
@@ -562,6 +567,177 @@ let test_epoch_fence () =
       check Alcotest.bool "peer exited cleanly" true
         (status = Unix.WEXITED 0)
 
+(* --- termination detection: the decision function and its bodies --------- *)
+
+let report_gen =
+  QCheck.Gen.(
+    let* inc = int_bound 3 in
+    let* quiet = bool in
+    let* passive = if quiet then bool else return false in
+    let* worked = bool in
+    let* sent = int_bound 40 in
+    let* recv = int_bound 40 in
+    return { Termination.inc; quiet; passive; worked; sent; recv })
+
+let total f = Array.fold_left (fun a r -> a + f r) 0
+
+(* one wave of a terminated cluster: every node passive, one of them
+   worked, as many frames received as sent *)
+let settled_gen =
+  QCheck.Gen.(
+    let* n = int_range 1 6 in
+    let* reports = array_repeat n report_gen in
+    let* who = int_bound (n - 1) in
+    let w =
+      Array.mapi
+        (fun i r ->
+          { r with Termination.quiet = true; passive = true;
+            worked = r.Termination.worked || i = who })
+        reports
+    in
+    let gap =
+      total (fun r -> r.Termination.sent) w
+      - total (fun r -> r.Termination.recv) w
+    in
+    let r0 = w.(0) in
+    w.(0) <-
+      (if gap > 0 then { r0 with Termination.recv = r0.Termination.recv + gap }
+       else { r0 with Termination.sent = r0.Termination.sent - gap });
+    let* i = int_bound (n - 1) in
+    let* k = int_range 1 5 in
+    return (w, i, k))
+
+let print_wave w =
+  String.concat "; "
+    (Array.to_list
+       (Array.map
+          (fun r ->
+            Printf.sprintf "{inc=%d q=%b p=%b w=%b s=%d r=%d}" r.Termination.inc
+              r.Termination.quiet r.Termination.passive r.Termination.worked
+              r.Termination.sent r.Termination.recv)
+          w))
+
+let settled_arb =
+  QCheck.make settled_gen ~print:(fun (w, i, k) ->
+      Printf.sprintf "%s / node %d / %d" (print_wave w) i k)
+
+let with_node w i f =
+  let c = Array.copy w in
+  c.(i) <- f c.(i);
+  c
+
+let test_decide_terminates =
+  qcheck
+    (QCheck.Test.make ~count:500
+       ~name:"two identical balanced all-passive waves terminate" settled_arb
+       (fun (w, _, _) -> Termination.decide ~prev:w ~cur:(Array.copy w)))
+
+let test_decide_active_node =
+  qcheck
+    (QCheck.Test.make ~count:500 ~name:"never while a node is active"
+       settled_arb (fun (w, i, _) ->
+         let busy r = { r with Termination.passive = false } in
+         let idle_busy r = { r with Termination.quiet = false; passive = false } in
+         (not (Termination.decide ~prev:w ~cur:(with_node w i busy)))
+         && (not (Termination.decide ~prev:(with_node w i busy) ~cur:(with_node w i busy)))
+         && not
+              (Termination.decide ~prev:(with_node w i idle_busy)
+                 ~cur:(with_node w i idle_busy))))
+
+let test_decide_unbalanced =
+  qcheck
+    (QCheck.Test.make ~count:500 ~name:"never while the sums differ"
+       settled_arb (fun (w, i, k) ->
+         let in_flight r = { r with Termination.sent = r.Termination.sent + k } in
+         let lost r = { r with Termination.recv = r.Termination.recv + k } in
+         let a = with_node w i in_flight and b = with_node w i lost in
+         (not (Termination.decide ~prev:a ~cur:(Array.copy a)))
+         && not (Termination.decide ~prev:b ~cur:(Array.copy b))))
+
+let test_decide_changed =
+  qcheck
+    (QCheck.Test.make ~count:500
+       ~name:"never when the counts changed between waves" settled_arb
+       (fun (w, i, k) ->
+         let moved r =
+           { r with Termination.sent = r.Termination.sent + k;
+             recv = r.Termination.recv + k }
+         in
+         let respawned r = { r with Termination.inc = r.Termination.inc + 1 } in
+         (not (Termination.decide ~prev:w ~cur:(with_node w i moved)))
+         && not (Termination.decide ~prev:w ~cur:(with_node w i respawned))))
+
+let test_decide_sound =
+  (* arbitrary wave pairs: a positive answer always has its reasons *)
+  let wave = QCheck.Gen.(int_range 1 4 >>= fun n -> array_repeat n report_gen) in
+  qcheck
+    (QCheck.Test.make ~count:2000 ~name:"every termination is justified"
+       (QCheck.make
+          QCheck.Gen.(pair wave (oneof [ wave; return [||] ]))
+          ~print:(fun (a, b) -> print_wave a ^ " / " ^ print_wave b))
+       (fun (prev, cur) ->
+         let cur = if cur = [||] then Array.copy prev else cur in
+         (not (Termination.decide ~prev ~cur))
+         || prev = cur
+            && Array.for_all (fun r -> r.Termination.passive) cur
+            && total (fun r -> r.Termination.sent) cur
+               = total (fun r -> r.Termination.recv) cur
+            && Array.exists (fun r -> r.Termination.worked) cur))
+
+let test_decide_needs_work () =
+  let r =
+    { Termination.inc = 0; quiet = true; passive = true; worked = false;
+      sent = 3; recv = 3 }
+  in
+  let w = [| r; { r with sent = 0; recv = 0 } |] in
+  check Alcotest.bool "idle clients-only cluster keeps waiting" false
+    (Termination.decide ~prev:w ~cur:(Array.copy w))
+
+let test_termination_bodies =
+  qcheck
+    (QCheck.Test.make ~count:500 ~name:"report body round-trip"
+       (QCheck.make
+          QCheck.Gen.(triple (int_bound 9) (int_bound 1000) report_gen))
+       (fun (detector, wave, r) ->
+         let tag = { Termination.detector; wave } in
+         Termination.decode_report (Termination.encode_report tag r)
+         = Ok (tag, r)
+         && (wave = 0
+            || Termination.decode_probe (Termination.encode_probe tag) = Ok tag
+               && Termination.decode_halt (Termination.encode_halt tag) = Ok tag)))
+
+let test_termination_bodies_strict () =
+  let tag = { Termination.detector = 1; wave = 2 } in
+  let r =
+    { Termination.inc = 0; quiet = true; passive = true; worked = true;
+      sent = 5; recv = 5 }
+  in
+  let body = Termination.encode_report tag r in
+  let rejected what = function
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s accepted" what
+  in
+  rejected "truncated report"
+    (Termination.decode_report (String.sub body 0 (String.length body - 1)));
+  rejected "report with trailing byte" (Termination.decode_report (body ^ "\000"));
+  let with_flags f =
+    let b = Bytes.of_string body in
+    Bytes.set_uint8 b 12 f;
+    Bytes.to_string b
+  in
+  rejected "unknown flag bit" (Termination.decode_report (with_flags 8));
+  rejected "passive but not quiet" (Termination.decode_report (with_flags 2));
+  let negative =
+    let b = Bytes.of_string body in
+    Bytes.set_int64_be b 13 (-1L);
+    Bytes.to_string b
+  in
+  rejected "negative count" (Termination.decode_report negative);
+  rejected "probe of wave 0"
+    (Termination.decode_probe
+       (Termination.encode_probe { tag with Termination.wave = 0 }));
+  rejected "short halt" (Termination.decode_halt "\000\000\000")
+
 let () =
   Alcotest.run "repro_transport"
     [
@@ -603,6 +779,19 @@ let () =
         ] );
       ( "live",
         [ Alcotest.test_case "epoch fence at the seam" `Quick test_epoch_fence ] );
+      ( "halting",
+        [
+          test_decide_terminates;
+          test_decide_active_node;
+          test_decide_unbalanced;
+          test_decide_changed;
+          test_decide_sound;
+          Alcotest.test_case "no termination before any work" `Quick
+            test_decide_needs_work;
+          test_termination_bodies;
+          Alcotest.test_case "bodies decode strictly" `Quick
+            test_termination_bodies_strict;
+        ] );
       ( "session",
         [
           test_session_exactly_once_in_order;

@@ -1,6 +1,5 @@
 module Rng = Repro_util.Rng
-module Pqueue = Repro_util.Pqueue
-module Intheap = Repro_util.Intheap
+module Timeq = Repro_util.Timeq
 module Ringbuf = Repro_util.Ringbuf
 
 type 'msg envelope = {
@@ -32,19 +31,6 @@ type stats = {
   per_node_received : int array;
 }
 
-(* Scheduler keys pack (deliver_time, tie-break seq) into one immediate int:
-   31 bits of time above 31 bits of sequence number, so the heap compares
-   keys with a single unboxed [<] and pushes allocate nothing.  The first
-   event whose time or sequence number leaves that range flips the engine
-   onto [wide], a tuple-keyed queue with the identical ordering, carrying
-   every still-pending event along — behaviour is unchanged, only the
-   constant factor. *)
-let time_bits = 31
-
-let packed_limit = 1 lsl time_bits
-
-let seq_mask = packed_limit - 1
-
 type 'msg t = {
   n : int;
   latency : Latency.t;
@@ -55,10 +41,8 @@ type 'msg t = {
       (* Dedicated stream for drop/duplicate decisions and duplicate-copy
          latencies, so enabling faults never perturbs the main stream's
          latency trajectory beyond the faults themselves. *)
-  queue : 'msg pending Intheap.t; (* key: (time lsl 31) lor seq *)
-  mutable wide : (int * int, 'msg pending) Pqueue.t option;
-      (* overflow fallback: explicit (time, seq) keys, same order *)
-  mutable seq : int;
+  queue : 'msg pending Timeq.t;
+      (* by delivery time; events due at the same time in push order *)
   mutable clock : int;
   handlers : ('msg envelope -> unit) array;
   fifo_horizon : int array array;
@@ -80,10 +64,6 @@ type 'msg t = {
   events : 'msg event Ringbuf.t;
 }
 
-let key_compare (t1, s1) (t2, s2) =
-  let c = compare (t1 : int) t2 in
-  if c <> 0 then c else compare (s1 : int) s2
-
 let create ?(faults = Fault.none) ?(service_time = 0) ~n ~latency ~seed () =
   if n <= 0 then invalid_arg "Net.create: need at least one node";
   if service_time < 0 then invalid_arg "Net.create: negative service time";
@@ -96,9 +76,7 @@ let create ?(faults = Fault.none) ?(service_time = 0) ~n ~latency ~seed () =
     faults;
     rng;
     fault_rng = Rng.split (Rng.copy rng);
-    queue = Intheap.create ();
-    wide = None;
-    seq = 0;
+    queue = Timeq.create ();
     clock = 0;
     handlers = Array.make n (fun _ -> ());
     fifo_horizon = Array.make_matrix n n 0;
@@ -127,23 +105,6 @@ let set_handler t node f =
    costs one branch — no allocation — when off. *)
 let record t event = Ringbuf.push_back t.events event
 
-let widen t =
-  let q = Pqueue.create ~cmp:key_compare () in
-  Intheap.iter t.queue (fun key pending ->
-      Pqueue.push q (key lsr time_bits, key land seq_mask) pending);
-  Intheap.clear t.queue;
-  t.wide <- Some q;
-  q
-
-let push t time pending =
-  t.seq <- t.seq + 1;
-  match t.wide with
-  | Some q -> Pqueue.push q (time, t.seq) pending
-  | None ->
-      if time < packed_limit && t.seq < packed_limit then
-        Intheap.push t.queue ((time lsl time_bits) lor t.seq) pending
-      else Pqueue.push (widen t) (time, t.seq) pending
-
 let schedule_delivery t envelope =
   let deliver_time =
     if t.faults.Fault.reorder then envelope.deliver_time
@@ -169,7 +130,7 @@ let schedule_delivery t envelope =
     if deliver_time = envelope.deliver_time then envelope
     else { envelope with deliver_time }
   in
-  push t deliver_time (Deliver envelope)
+  Timeq.push t.queue deliver_time (Deliver envelope)
 
 let send t ~src ~dst ?(control_bytes = 0) ?(payload_bytes = 0) msg =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
@@ -212,7 +173,7 @@ let send t ~src ~dst ?(control_bytes = 0) ?(payload_bytes = 0) msg =
 
 let at t ~delay f =
   if delay < 0 then invalid_arg "Net.at: negative delay";
-  push t (t.clock + delay) (Timer f)
+  Timeq.push t.queue (t.clock + delay) (Timer f)
 
 let dispatch t time pending =
   t.clock <- Stdlib.max t.clock time;
@@ -225,32 +186,17 @@ let dispatch t time pending =
       t.handlers.(envelope.dst) envelope
 
 let step t =
-  match t.wide with
-  | Some q -> (
-      match Pqueue.pop q with
-      | None -> false
-      | Some ((time, _), pending) ->
-          dispatch t time pending;
-          true)
-  | None ->
-      if Intheap.is_empty t.queue then false
-      else begin
-        let time = Intheap.min_key t.queue lsr time_bits in
-        let pending = Intheap.pop_min t.queue in
-        dispatch t time pending;
-        true
-      end
+  if Timeq.is_empty t.queue then false
+  else begin
+    let time = Timeq.min_time t.queue in
+    let pending = Timeq.pop_min t.queue in
+    dispatch t time pending;
+    true
+  end
 
 (* Earliest pending event time, or min_int when the queue is empty. *)
 let next_time t =
-  match t.wide with
-  | Some q -> (
-      match Pqueue.peek q with
-      | Some ((time, _), _) -> time
-      | None -> min_int)
-  | None ->
-      if Intheap.is_empty t.queue then min_int
-      else Intheap.min_key t.queue lsr time_bits
+  if Timeq.is_empty t.queue then min_int else Timeq.min_time t.queue
 
 let run ?(max_events = 10_000_000) t =
   let rec loop budget =

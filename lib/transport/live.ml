@@ -1,5 +1,5 @@
 module Net = Repro_msgpass.Net
-module Pqueue = Repro_util.Pqueue
+module Timeq = Repro_util.Timeq
 module Ringbuf = Repro_util.Ringbuf
 module Rng = Repro_util.Rng
 
@@ -93,6 +93,8 @@ type conn = {
   mutable peer : int;
       (* the node whose Hello opened this connection; -1 until one arrives
          (a client, or a peer whose Hello is still in flight) *)
+  reply : reply;  (* client replies on this connection, built at accept *)
+  control_reply : control_reply;  (* control replies, likewise *)
 }
 
 (* The lowest-numbered node runs the termination detector. *)
@@ -115,8 +117,7 @@ type t = {
   mutable read_fds : Unix.file_descr list;
       (* persistent poll set: listen_fd + live conn fds, updated only on
          accept/close (the legacy arm rebuilds per iteration instead) *)
-  timers : (int * int, unit -> unit) Pqueue.t;
-  mutable timer_seq : int;
+  timers : (unit -> unit) Timeq.t;  (* by due time; ties in schedule order *)
   mutable on_data_view : Wire.view -> unit;
   mutable on_client : (reply:reply -> Wire.view -> unit) option;
   mutable on_control : (reply:control_reply -> Wire.view -> unit) option;
@@ -209,8 +210,7 @@ let create cfg ~listen_fd =
     pool = Wire.Pool.create ();
     conns = [];
     read_fds = [ listen_fd ];
-    timers = Pqueue.create ~cmp:compare ();
-    timer_seq = 0;
+    timers = Timeq.create ();
     on_data_view = (fun _ -> ());
     on_client = None;
     on_control = None;
@@ -263,10 +263,11 @@ let create cfg ~listen_fd =
 let arm_fingerprint t =
   if t.legacy then t.cfg.fingerprint ^ "+legacy" else t.cfg.fingerprint
 
-let add_timer t ~delay f =
-  let due = now_ms t + max delay 0 in
-  t.timer_seq <- t.timer_seq + 1;
-  Pqueue.push t.timers (due, t.timer_seq) f
+let add_timer t ~delay f = Timeq.push t.timers (now_ms t + max delay 0) f
+
+(* due time of the earliest timer; [max_int] when none is pending *)
+let next_due t =
+  if Timeq.is_empty t.timers then max_int else Timeq.min_time t.timers
 
 let write_all t fd buf =
   let len = Bytes.length buf in
@@ -447,12 +448,7 @@ let flush_conn t c =
     c.cq_dirty <- false
   end
 
-let flush_all t =
-  (match t.dirty_peers with
-  | [] -> ()
-  | peers ->
-      t.dirty_peers <- [];
-      List.iter (flush_peer t) peers);
+let flush_conns t =
   match t.dirty_conns with
   | [] -> ()
   | conns ->
@@ -465,6 +461,17 @@ let flush_all t =
           end
           else Outq.reset c.cq t.pool)
         conns
+
+let flush_peers t =
+  match t.dirty_peers with
+  | [] -> ()
+  | peers ->
+      t.dirty_peers <- [];
+      List.iter (flush_peer t) peers
+
+let flush_all t =
+  flush_conns t;
+  flush_peers t
 
 (* Queue one encoded frame (a pooled buffer holding the complete wire
    image) for peer [dst]; it leaves in the next writev flush. *)
@@ -738,7 +745,8 @@ let on_termination_frame t (v : Wire.view) =
       | Ok _ -> t.halted <- true)
   | _ -> assert false
 
-let dispatch ?conn t (v : Wire.view) =
+(* [c] is the connection the frame arrived on *)
+let dispatch t c (v : Wire.view) =
   match v.Wire.v_kind with
   | Wire.Join | Wire.Leave | Wire.Transfer | Wire.Epoch | Wire.Ping
   | Wire.Pong -> (
@@ -754,27 +762,18 @@ let dispatch ?conn t (v : Wire.view) =
       if v.Wire.v_kind = Wire.Transfer && v.Wire.v_epoch < t.cur_epoch then
         t.stale_epochs <- t.stale_epochs + 1
       else
-        match (t.on_control, conn) with
-        | Some handler, Some c ->
-            handler
-              ~reply:(fun ~kind ~dst ~body -> conn_control t c ~kind ~dst ~body)
-              v
-        | Some handler, None ->
-            handler ~reply:(fun ~kind:_ ~dst:_ ~body:_ -> ()) v
-        | None, _ -> () (* static cluster: stray control frames are inert *))
+        match t.on_control with
+        | Some handler -> handler ~reply:c.control_reply v
+        | None -> () (* static cluster: stray control frames are inert *))
   | Wire.Creq -> (
       (* client traffic: src is a client id, deliberately outside the node
          range, and the reply goes back on the connection the request came
          in on — never through the peer mesh *)
       t.activity <- t.activity + 1;
       t.client_reqs <- t.client_reqs + 1;
-      match (t.on_client, conn) with
-      | Some handler, Some c ->
-          handler
-            ~reply:(fun ~dst ~control_bytes ~payload_bytes ~body_len ~emit ->
-              conn_reply t c ~dst ~control_bytes ~payload_bytes ~body_len ~emit)
-            v
-      | _ -> () (* no front door installed: drop, the client times out *))
+      match t.on_client with
+      | Some handler -> handler ~reply:c.reply v
+      | None -> () (* no front door installed: drop, the client times out *))
   | Wire.Cresp -> () (* nodes never consume responses; tolerate strays *)
   | Wire.Hello | Wire.Done | Wire.Data | Wire.Probe | Wire.Report | Wire.Halt
     ->
@@ -790,25 +789,22 @@ let dispatch ?conn t (v : Wire.view) =
             failwith
               (Printf.sprintf "live: fingerprint mismatch with node %d (%S vs %S)"
                  src fp (arm_fingerprint t));
-          (match conn with
-          | Some c ->
-              if c.peer < 0 then begin
-                c.peer <- src;
-                t.open_clients <- t.open_clients - 1
-              end;
-              (* the newest connection from [src] takes over its count *)
-              if compare (inc, gen) t.in_link.(src) > 0 then begin
-                (* a respawned node has answered no probe yet: whatever
-                   its predecessor reported no longer holds *)
-                if inc <> fst t.in_link.(src) then begin
-                  t.known_quiet.(src) <- true;
-                  t.known_worked.(src) <- true
-                end;
-                t.in_conn.(src) <- Some c;
-                t.in_link.(src) <- (inc, gen);
-                t.link_recv.(src) <- base
-              end
-          | None -> ());
+          if c.peer < 0 then begin
+            c.peer <- src;
+            t.open_clients <- t.open_clients - 1
+          end;
+          (* the newest connection from [src] takes over its count *)
+          if compare (inc, gen) t.in_link.(src) > 0 then begin
+            (* a respawned node has answered no probe yet: whatever its
+               predecessor reported no longer holds *)
+            if inc <> fst t.in_link.(src) then begin
+              t.known_quiet.(src) <- true;
+              t.known_worked.(src) <- true
+            end;
+            t.in_conn.(src) <- Some c;
+            t.in_link.(src) <- (inc, gen);
+            t.link_recv.(src) <- base
+          end;
           t.hello_seen.(v.Wire.v_src) <- true;
           if t.cfg.resilient && inc > 0 && inc > t.peer_inc.(v.Wire.v_src) then begin
             t.peer_inc.(v.Wire.v_src) <- inc;
@@ -817,8 +813,8 @@ let dispatch ?conn t (v : Wire.view) =
       | Wire.Done -> t.done_seen.(v.Wire.v_src) <- true
       | Wire.Probe | Wire.Report | Wire.Halt -> on_termination_frame t v
       | Wire.Data ->
-          (match (conn, t.in_conn.(v.Wire.v_src)) with
-          | Some c, Some cur when c == cur ->
+          (match t.in_conn.(v.Wire.v_src) with
+          | Some cur when c == cur ->
               t.link_recv.(v.Wire.v_src) <- t.link_recv.(v.Wire.v_src) + 1
           | _ -> ());
           (* epoch fence: a data frame from a configuration older than
@@ -833,18 +829,15 @@ let dispatch ?conn t (v : Wire.view) =
           assert false)
 
 let fire_due t =
-  let fired = ref false in
-  let rec loop () =
-    match Pqueue.peek t.timers with
-    | Some ((due, _), _) when due <= now_ms t ->
-        let _, f = Pqueue.pop_exn t.timers in
-        fired := true;
-        f ();
-        loop ()
-    | _ -> ()
+  let rec loop fired =
+    let due = next_due t in
+    if due <> max_int && due <= now_ms t then begin
+      (Timeq.pop_min t.timers) ();
+      loop true
+    end
+    else fired
   in
-  loop ();
-  !fired
+  loop false
 
 let rebuild_read_fds t =
   t.conns <- List.filter (fun c -> not c.closed) t.conns;
@@ -856,9 +849,15 @@ let accept_ready t =
     | fd, _ ->
         Unix.set_nonblock fd;
         (try Unix.setsockopt fd TCP_NODELAY true with Unix.Unix_error _ -> ());
-        let c =
-          { fd; dec = Wire.decoder (); closed = false; cq = Outq.create ();
-            cq_dirty = false; peer = -1 }
+        let dec = Wire.decoder () and cq = Outq.create () in
+        let rec c =
+          { fd; dec; closed = false; cq; cq_dirty = false; peer = -1;
+            reply =
+              (fun ~dst ~control_bytes ~payload_bytes ~body_len ~emit ->
+                conn_reply t c ~dst ~control_bytes ~payload_bytes ~body_len
+                  ~emit);
+            control_reply =
+              (fun ~kind ~dst ~body -> conn_control t c ~kind ~dst ~body) }
         in
         t.open_clients <- t.open_clients + 1;
         t.conns <- c :: t.conns;
@@ -894,7 +893,7 @@ let service_conn t c =
     let rec pump () =
       match Wire.next_view c.dec with
       | Ok (Some v) ->
-          dispatch ~conn:c t v;
+          dispatch t c v;
           pump ()
       | Ok None -> ()
       | Error msg -> failwith ("live: corrupt stream: " ^ msg)
@@ -910,10 +909,8 @@ let step t ~block =
   let timeout =
     if not block then 0.
     else
-      match Pqueue.peek t.timers with
-      | Some ((due, _), _) ->
-          Float.min 0.001 (Float.max 0. (float_of_int (due - now_ms t) /. 1000.))
-      | None -> 0.001
+      Float.min 0.001
+        (Float.max 0. (float_of_int (next_due t - now_ms t) /. 1000.))
   in
   let read_fds =
     if t.legacy then begin
@@ -934,9 +931,13 @@ let step t ~block =
       if (not c.closed) && List.memq c.fd ready then
         if service_conn t c then acted := true)
     t.conns;
+  (* replies first: a client's answer waits on nothing the protocol
+     waits on — not the session flush timer, not the peer writevs *)
+  flush_conns t;
   if fire_due t then acted := true;
   if t.owe_notify then notify_if_owed t;
-  (* one writev per dirty link covers everything this step produced *)
+  (* one writev per dirty link covers everything this step produced
+     (and any reply a timer queued) *)
   flush_all t;
   !acted
 

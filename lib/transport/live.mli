@@ -117,11 +117,16 @@ val wait_peers : t -> timeout_ms:int -> unit
     @raise Failure on timeout or fingerprint mismatch. *)
 
 val step : t -> block:bool -> bool
-(** Accept/read/dispatch what is ready and fire due timers, blocking at
-    most ~1 ms when [block] and nothing is ready.  Pending link queues are
-    flushed (one [writev] per dirty link) on entry and again after
-    dispatch, so every frame produced in a turn leaves in that turn.
-    [true] when any timer fired or socket progressed. *)
+(** One turn of the event loop, in this order: flush whatever was queued
+    between turns; [select], blocking at most ~1 ms when [block] and
+    nothing is ready; accept, read and dispatch every ready connection;
+    write the client replies that dispatch queued; fire due timers (the
+    session layer's zero-delay flush, which encodes replication frames);
+    then send one [writev] per dirty peer link.  Replies go first because
+    a write returns once it is applied locally and propagates later: its
+    reply waits on nothing the protocol waits on.  Every frame produced
+    in a turn still leaves in that turn.  [true] when any timer fired or
+    socket progressed. *)
 
 val finish_program : ?ops:int -> t -> unit
 (** Broadcast [Done]: this node's program (its workload slice) has

@@ -567,6 +567,110 @@ let test_epoch_fence () =
       check Alcotest.bool "peer exited cleanly" true
         (status = Unix.WEXITED 0)
 
+let loopback () = Live.bind (Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
+
+let write_bytes fd b =
+  let n = Bytes.length b in
+  let rec go off = if off < n then go (off + Unix.write fd b off (n - off)) in
+  go 0
+
+let readable fd ~timeout =
+  match Unix.select [ fd ] [] [] timeout with [], _, _ -> false | _ -> true
+
+(* One step serves a client request whose handler replies, queues a
+   replication frame to a peer and schedules a zero-delay timer.  The
+   reply must already be on the client's socket when the timer fires, and
+   the peer frame must still leave within that step.  Node 1 is played by
+   hand: two raw sockets, one carrying its Hello, one accepting node 0's
+   outbound link. *)
+let test_reply_before_replication () =
+  let fd0 = loopback () and fd1 = loopback () in
+  let peers = [| Live.listen_addr fd0; Live.listen_addr fd1 |] in
+  let fingerprint = "reply-order-test" in
+  let t =
+    Live.create
+      { Live.self = 0; n = 2; peers; fingerprint; resilient = false;
+        incarnation = 0; connect_timeout_ms = 0 }
+      ~listen_fd:fd0
+  in
+  let tr : string Transport.t = (Live.factory t).Transport.create 2 in
+  let dial addr =
+    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+    Unix.connect fd addr;
+    fd
+  in
+  let frame kind ~src body =
+    Wire.encode
+      { Wire.kind; src; dst = 0; epoch = 0; control_bytes = 0;
+        payload_bytes = 0; body }
+  in
+  let to0 = dial peers.(0) in
+  write_bytes to0
+    (frame Wire.Hello ~src:1 (fingerprint ^ "\ninc=0 gen=1 base=0"));
+  Live.wait_peers t ~timeout_ms:5_000;
+  let from0, _ = Unix.accept fd1 in
+  let client = dial peers.(0) in
+  let reply_seen = ref None in
+  Live.set_client_handler t (fun ~reply v ->
+      reply ~dst:v.Wire.v_src ~control_bytes:0 ~payload_bytes:0 ~body_len:2
+        ~emit:(fun buf off ->
+          Bytes.blit_string "ok" 0 buf off 2;
+          off + 2);
+      tr.Transport.send ~src:0 ~dst:1 ~control_bytes:0 ~payload_bytes:0
+        "update";
+      tr.Transport.schedule ~delay:0 (fun () ->
+          reply_seen := Some (readable client ~timeout:0.)));
+  write_bytes client (frame Wire.Creq ~src:1000 "req");
+  let deadline = Live.now_ms t + 5_000 in
+  while Live.client_reqs t = 0 && Live.now_ms t < deadline do
+    ignore (Live.step t ~block:true)
+  done;
+  check Alcotest.(option bool) "reply readable when the timer fired"
+    (Some true) !reply_seen;
+  (* no further step runs: whatever node 1 reads left in that one *)
+  let dec = Wire.decoder () and buf = Bytes.create 4096 in
+  let rec data_arrived () =
+    match Wire.next_view dec with
+    | Ok (Some v) -> v.Wire.v_kind = Wire.Data || data_arrived ()
+    | Error e -> Alcotest.fail e
+    | Ok None ->
+        readable from0 ~timeout:1.
+        &&
+        let n = Unix.read from0 buf 0 (Bytes.length buf) in
+        n > 0
+        && begin
+             Wire.feed dec buf n;
+             data_arrived ()
+           end
+  in
+  check Alcotest.bool "peer frame left in the same step" true (data_arrived ());
+  Live.close t;
+  List.iter Unix.close [ fd1; to0; from0; client ]
+
+(* Timers with equal due times fire in the order they were scheduled. *)
+let test_timer_fifo () =
+  let fd = loopback () in
+  let t =
+    Live.create
+      { Live.self = 0; n = 1; peers = [| Live.listen_addr fd |];
+        fingerprint = "timer-fifo-test"; resilient = false; incarnation = 0;
+        connect_timeout_ms = 0 }
+      ~listen_fd:fd
+  in
+  let tr : unit Transport.t = (Live.factory t).Transport.create 1 in
+  let fired = ref [] in
+  let count = 1_000 in
+  for i = 0 to count - 1 do
+    tr.Transport.schedule ~delay:0 (fun () -> fired := i :: !fired)
+  done;
+  let deadline = Live.now_ms t + 5_000 in
+  while List.length !fired < count && Live.now_ms t < deadline do
+    ignore (Live.step t ~block:true)
+  done;
+  check Alcotest.(list int) "scheduling order" (List.init count Fun.id)
+    (List.rev !fired);
+  Live.close t
+
 (* --- termination detection: the decision function and its bodies --------- *)
 
 let report_gen =
@@ -778,7 +882,13 @@ let () =
             test_sim_factory_equivalence;
         ] );
       ( "live",
-        [ Alcotest.test_case "epoch fence at the seam" `Quick test_epoch_fence ] );
+        [
+          Alcotest.test_case "epoch fence at the seam" `Quick test_epoch_fence;
+          Alcotest.test_case "replies leave before replication" `Quick
+            test_reply_before_replication;
+          Alcotest.test_case "equal-due timers fire in order" `Quick
+            test_timer_fifo;
+        ] );
       ( "halting",
         [
           test_decide_terminates;

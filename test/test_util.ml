@@ -275,6 +275,36 @@ let test_intheap_matches_pqueue =
          in
          drain_h [] = drain_q []))
 
+(* Timeq drains as a stable sort by time, before and after the first time
+   past 2^31 moves it off packed keys. *)
+let test_timeq_stable_sort =
+  qcheck
+    (QCheck.Test.make ~name:"timeq_is_a_stable_sort_by_time" ~count:300
+       QCheck.(list (pair (int_bound 2) (int_bound 7)))
+       (fun draws ->
+         let times =
+           List.map
+             (fun (range, raw) ->
+               match range with
+               | 0 -> raw
+               | 1 -> (1 lsl 31) - 1 - (raw land 1)
+               | _ -> (1 lsl 31) + raw)
+             draws
+         in
+         let q = Repro_util.Timeq.create () in
+         List.iteri (fun i time -> Repro_util.Timeq.push q time i) times;
+         let rec drain acc =
+           if Repro_util.Timeq.is_empty q then List.rev acc
+           else
+             let time = Repro_util.Timeq.min_time q in
+             let i = Repro_util.Timeq.pop_min q in
+             drain ((time, i) :: acc)
+         in
+         drain []
+         = List.stable_sort
+             (fun (a, _) (b, _) -> compare a b)
+             (List.mapi (fun i time -> (time, i)) times)))
+
 (* --- ringbuf ------------------------------------------------------------- *)
 
 let test_ringbuf_fifo_growth () =
@@ -659,6 +689,7 @@ let () =
           Alcotest.test_case "growth and clear bounds" `Quick
             test_intheap_growth_and_clear;
           test_intheap_matches_pqueue;
+          test_timeq_stable_sort;
         ] );
       ( "ringbuf",
         [ Alcotest.test_case "fifo across growth" `Quick test_ringbuf_fifo_growth ] );
